@@ -10,6 +10,7 @@ paper's three metric axes need: compressed size, output pixels, and time.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -67,9 +68,13 @@ class RateSpec:
         return cls(kind="abr", bitrate_bps=bitrate_bps, two_pass=two_pass)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TranscodeResult:
     """One transcode's outputs and costs.
+
+    Immutable: a wrapper that changes a field (the time scaler, the fault
+    injector) returns a :func:`dataclasses.replace` copy, so a memo can
+    hand out the result it stored without copying it.
 
     Attributes:
         source: The input video (kept for metric computation).
@@ -80,6 +85,8 @@ class TranscodeResult:
         wall_seconds: Actual wall-clock spent (diagnostics only).
         counters: Kernel-work counters (SIMD/uarch studies).
         backend: Name of the transcoder that produced this.
+        quality_db: Average YCbCr PSNR of ``output`` against ``source``,
+            measured once where the output is produced.
     """
 
     source: Video
@@ -89,11 +96,13 @@ class TranscodeResult:
     wall_seconds: float
     counters: Counters
     backend: str
+    quality_db: float
 
-    @property
-    def quality_db(self) -> float:
-        """Average YCbCr PSNR of the output against the source."""
-        return psnr(self.source, self.output)
+    def with_output(self, output: Video) -> "TranscodeResult":
+        """A copy carrying ``output`` instead, with its quality re-measured."""
+        return dataclasses.replace(
+            self, output=output, quality_db=psnr(self.source, output)
+        )
 
     @property
     def bitrate(self) -> float:
@@ -151,8 +160,7 @@ class ScaledTranscoder(Transcoder):
 
     def transcode(self, video: Video, rate: RateSpec) -> TranscodeResult:
         result = self.inner.transcode(video, rate)
-        result.seconds *= self.factor
-        return result
+        return dataclasses.replace(result, seconds=result.seconds * self.factor)
 
     def __repr__(self) -> str:
         return f"ScaledTranscoder(inner={self.inner!r}, factor={self.factor})"

@@ -31,6 +31,7 @@ import time
 from repro.codec.encoder import encode
 from repro.codec.presets import EncoderConfig
 from repro.encoders.base import RateSpec, Transcoder, TranscodeResult
+from repro.metrics.psnr import psnr
 from repro.video.video import Video
 
 __all__ = ["HardwareTranscoder", "NvencTranscoder", "QsvTranscoder"]
@@ -109,6 +110,7 @@ class HardwareTranscoder(Transcoder):
             wall_seconds=time.perf_counter() - start,
             counters=result.counters,
             backend=self.name,
+            quality_db=psnr(video, result.recon),
         )
 
 

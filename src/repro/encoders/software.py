@@ -19,6 +19,7 @@ import time
 from repro.codec.encoder import encode
 from repro.codec.presets import EncoderConfig, preset
 from repro.encoders.base import RateSpec, Transcoder, TranscodeResult
+from repro.metrics.psnr import psnr
 from repro.simd.analysis import modeled_seconds
 from repro.simd.isa import IsaLevel
 from repro.video.video import Video
@@ -73,6 +74,7 @@ class SoftwareTranscoder(Transcoder):
             wall_seconds=time.perf_counter() - start,
             counters=result.counters,
             backend=self.name,
+            quality_db=psnr(video, result.recon),
         )
 
 

@@ -38,13 +38,14 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.codec.instrumentation import Counters
 from repro.codec.presets import EncoderConfig
 from repro.encoders.base import RateSpec, Transcoder, TranscodeResult
+from repro.metrics.psnr import psnr
 from repro.video.frame import Frame
 from repro.video.video import Video
 
@@ -142,17 +143,13 @@ class CacheStats:
 
 
 def video_digest(video: Video) -> str:
-    """SHA-256 of a video's pixels and identity metadata."""
-    digest = hashlib.sha256()
-    digest.update(
-        f"{video.width}x{video.height}@{video.fps!r}x{len(video)}"
-        f"|{video.name}|{video.nominal_resolution}".encode("utf-8")
-    )
-    for frame in video:
-        digest.update(frame.y.tobytes())
-        digest.update(frame.u.tobytes())
-        digest.update(frame.v.tobytes())
-    return digest.hexdigest()
+    """SHA-256 of a video's pixels and identity metadata.
+
+    Computed once per :class:`~repro.video.video.Video` instance
+    (:attr:`~repro.video.video.Video.digest`), so every later lookup of
+    the same clip costs an attribute read.
+    """
+    return video.digest
 
 
 def _transcoder_knobs(transcoder: Transcoder) -> Dict[str, object]:
@@ -312,6 +309,7 @@ def _deserialize(blob: bytes, source: Video) -> TranscodeResult:
         wall_seconds=wall_seconds,
         counters=counters,
         backend=str(header["backend"]),
+        quality_db=psnr(source, output),
     )
 
 
@@ -429,19 +427,19 @@ class MemoizingTranscoder(Transcoder):
 
     The traffic simulator replays the same small catalog of titles
     thousands of times; re-encoding an identical request every arrival
-    would make simulated hours cost real hours.  This wrapper keys on the
-    same content address as :class:`TranscodeCache` (pixels + backend
-    knobs + rate), so two requests share an entry exactly when the
-    encoder would have done identical work, and every hit replays the
-    original modeled ``seconds`` — reports are byte-identical with or
-    without the memo.
+    would make simulated hours cost real hours.  One memo wraps one fixed
+    backend (whose :class:`EncoderConfig` is frozen), so it keys on the
+    video's content digest -- computed once per video instance -- and the
+    :class:`~repro.encoders.base.RateSpec` alone.  Two requests share an
+    entry exactly when the encoder would have done identical work, and
+    every hit replays the original modeled ``seconds`` -- reports are
+    byte-identical with or without the memo.
 
-    Each hit returns a **fresh shallow copy** of the stored result.
-    Wrappers above this one mutate results in place
-    (:class:`~repro.encoders.base.ScaledTranscoder` scales ``seconds``,
-    :class:`~repro.robust.faults.FaultyTranscoder` rebinds ``output`` and
-    multiplies straggler ``seconds``), and handing out the stored object
-    itself would compound those mutations across hits.
+    A hit returns the stored result itself.  Results are immutable: the
+    wrappers above this one (:class:`~repro.encoders.base.ScaledTranscoder`,
+    :class:`~repro.robust.faults.FaultyTranscoder`) return changed copies,
+    so nothing a caller does to its result reaches the memo, and the
+    quality measured at encode time is never recomputed.
     """
 
     def __init__(self, inner: Transcoder) -> None:
@@ -449,18 +447,17 @@ class MemoizingTranscoder(Transcoder):
         self.name = inner.name
         self.hits = 0
         self.misses = 0
-        self._memo: Dict[str, TranscodeResult] = {}
+        self._memo: Dict[Tuple[str, RateSpec], TranscodeResult] = {}
 
     def transcode(self, video: Video, rate: RateSpec) -> TranscodeResult:
-        key = cache_key(video, self.inner, rate)
-        stored = self._memo.get(key)
-        if stored is None:
+        key = (video_digest(video), rate)
+        result = self._memo.get(key)
+        if result is None:
             self.misses += 1
-            stored = self.inner.transcode(video, rate)
-            self._memo[key] = dataclasses.replace(stored)
-            return stored
-        self.hits += 1
-        return dataclasses.replace(stored)
+            result = self._memo[key] = self.inner.transcode(video, rate)
+        else:
+            self.hits += 1
+        return result
 
     def __repr__(self) -> str:
         return (

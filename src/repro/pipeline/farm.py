@@ -429,21 +429,27 @@ class _FarmService(SharingService):
     A failed promotion is dead-lettered and the record stays unpromoted
     (it will be retried the next time its view count crosses the
     threshold check), instead of aborting the whole view batch.
+
+    It holds the deadline policy and the farm's report, not the farm
+    itself, so a dropped farm is freed by reference counting instead of
+    waiting for the cycle collector.
     """
 
-    def __init__(self, farm: "TranscodeFarm", **kwargs) -> None:
+    def __init__(
+        self, deadlines: DeadlinePolicy, report: RobustnessReport, **kwargs
+    ) -> None:
         super().__init__(**kwargs)
-        self._farm = farm
+        self._deadlines = deadlines
+        self._report = report
 
     def _promote(self, record: VideoRecord) -> None:
-        farm = self._farm
-        farm._popular.set_budget(
-            farm.config.deadlines.budget_s(record.video, Scenario.POPULAR)
+        self.popular.set_budget(
+            self._deadlines.budget_s(record.video, Scenario.POPULAR)
         )
         try:
             super()._promote(record)
         except FarmJobError as error:
-            farm.report.dead_letters.append(
+            self._report.dead_letters.append(
                 DeadLetter(job=record.name, stage="promote", reason=error.reason)
             )
 
@@ -470,8 +476,8 @@ class TranscodeFarm:
             fault injector, so chaos still fires on every call while the
             underlying clean encodes are reused; the compute the cache
             avoided is surfaced through the cost report.
-        memoize: Keep an in-process memo of completed transcodes (same
-            content-addressed keys as the cache, no disk).  Like the
+        memoize: Keep an in-process memo of completed transcodes (keyed
+            on the clip's content digest and rate, no disk).  Like the
             cache, the memo sits inside the fault injector and the time
             scaler, so the robustness stack runs on every call while
             identical encodes are replayed — the traffic simulator's way
@@ -517,7 +523,8 @@ class TranscodeFarm:
         self._delivery = self._adapter(ladders["delivery"])
         self._popular = self._adapter(ladders["popular"])
         self.service = _FarmService(
-            farm=self,
+            deadlines=self.config.deadlines,
+            report=self.report,
             delivery_backend=self._delivery,
             popular_backend=self._popular,
             config=service_config,

@@ -32,6 +32,7 @@ simulator — same seeded-substream idiom, one level up the stack.
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
@@ -277,14 +278,14 @@ class FaultyTranscoder(Transcoder):
             )
         if draw < self.plan.crash_rate + self.plan.straggler_rate:
             self.injected.stragglers += 1
-            result.seconds *= self.plan.straggler_factor
-            return result
+            return dataclasses.replace(
+                result, seconds=result.seconds * self.plan.straggler_factor
+            )
         if draw < (
             self.plan.crash_rate + self.plan.straggler_rate + self.plan.corrupt_rate
         ):
             self.injected.corruptions += 1
-            result.output = _corrupt(result.output)
-            return result
+            return result.with_output(_corrupt(result.output))
         if draw < (
             self.plan.crash_rate
             + self.plan.straggler_rate
@@ -292,12 +293,10 @@ class FaultyTranscoder(Transcoder):
             + self.plan.corrupt_stream_rate
         ):
             self.injected.stream_corruptions += 1
-            result.output, concealed, seen = _corrupt_stream(
-                result.output, self._rng
-            )
+            output, concealed, seen = _corrupt_stream(result.output, self._rng)
             self.injected.stream_corrupted_frames += concealed
             self.injected.stream_frames_seen += seen
-            return result
+            return result.with_output(output)
         return result
 
     def __repr__(self) -> str:

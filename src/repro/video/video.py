@@ -8,6 +8,8 @@ over: bitrate in bits/pixel/second and speed in pixels/second both divide by
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -50,10 +52,15 @@ class Video:
                     f"frame {i} has resolution {frame.resolution}, expected {first}"
                 )
         self._fps = float(fps)
-        self.name = name
+        self._name = name
         self._nominal = nominal_resolution or first
 
     # -- basic properties ----------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        """Human-readable label; relabel with :meth:`with_name`."""
+        return self._name
 
     @property
     def fps(self) -> float:
@@ -137,6 +144,26 @@ class Video:
             and len(self) == len(other)
             and all(a == b for a, b in zip(self._frames, other._frames))
         )
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """SHA-256 of the pixels and identity metadata, computed once.
+
+        The video part of :func:`repro.exec.cache.cache_key`: changing what
+        it hashes invalidates every persisted cache entry.  Safe to keep
+        per instance because nothing it covers can change -- the frame
+        list is private, frame planes are read-only, and the metadata has
+        no setters.
+        """
+        digest = hashlib.sha256(
+            f"{self.width}x{self.height}@{self._fps!r}x{len(self)}"
+            f"|{self._name}|{self._nominal}".encode("utf-8")
+        )
+        for frame in self._frames:
+            digest.update(frame.y.tobytes())
+            digest.update(frame.u.tobytes())
+            digest.update(frame.v.tobytes())
+        return digest.hexdigest()
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""

@@ -20,13 +20,6 @@ def _scripted_backend(qualities):
     from repro.codec.instrumentation import Counters
     from repro.encoders.base import Transcoder, TranscodeResult
 
-    class _Result(TranscodeResult):
-        scripted_quality = 0.0
-
-        @property
-        def quality_db(self):
-            return self.scripted_quality
-
     class _Scripted(Transcoder):
         name = "scripted"
 
@@ -36,7 +29,7 @@ def _scripted_backend(qualities):
         def transcode(self, video, rate):
             quality = qualities[min(self.calls, len(qualities) - 1)]
             self.calls += 1
-            result = _Result(
+            return TranscodeResult(
                 source=video,
                 output=video,
                 compressed_bytes=int(rate.bitrate_bps),
@@ -44,9 +37,8 @@ def _scripted_backend(qualities):
                 wall_seconds=0.0,
                 counters=Counters(),
                 backend=self.name,
+                quality_db=quality,
             )
-            result.scripted_quality = quality
-            return result
 
     return _Scripted()
 

@@ -1,5 +1,6 @@
 """The execution layer: persistent transcode cache + process-pool runner."""
 
+import dataclasses
 import struct
 
 import pytest
@@ -7,17 +8,22 @@ import pytest
 from repro.core.benchmark import run_scenario, vbench_suite
 from repro.core.scenarios import Scenario
 from repro.encoders.base import RateSpec, Transcoder, TranscodeResult
+from repro.encoders.registry import get_transcoder
 from repro.encoders.software import X264Transcoder
 from repro.exec.cache import (
     CACHE_VERSION,
     CacheCorruptError,
     CacheStats,
     CachingTranscoder,
+    MemoizingTranscoder,
     TranscodeCache,
     cache_key,
     video_digest,
 )
 from repro.exec.runner import prime_references, task_seed
+from repro.metrics.psnr import psnr
+from repro.video.synthesis import synthesize
+from repro.video.video import Video
 
 
 class CountingTranscoder(Transcoder):
@@ -71,6 +77,74 @@ class TestCacheKey:
         assert cache_key(natural_video, medium, crf) != cache_key(
             natural_video, medium, RateSpec.for_bitrate(1e5)
         )
+
+    def test_memoized_digest_matches_a_fresh_one(self, natural_video):
+        first = video_digest(natural_video)
+        assert video_digest(natural_video) is first  # computed once
+        fresh = Video(
+            natural_video.frames,
+            natural_video.fps,
+            natural_video.name,
+            natural_video.nominal_resolution,
+        )
+        assert video_digest(fresh) == first
+
+    def test_relabelled_copies_get_their_own_digests(self, natural_video):
+        digests = {
+            video_digest(natural_video),
+            video_digest(natural_video.with_name("relabelled")),
+            video_digest(natural_video.with_nominal_resolution(1920, 1080)),
+        }
+        assert len(digests) == 3
+
+    def test_video_name_is_read_only(self, natural_video):
+        with pytest.raises(AttributeError):
+            natural_video.name = "renamed"
+
+    def test_key_unchanged_for_existing_cache_directories(self):
+        """A key computed before digests were memoized, pinned verbatim:
+        existing on-disk entries must stay addressable."""
+        clip = synthesize("natural", 64, 48, 6, 24.0, seed=3, name="pin")
+        key = cache_key(clip, get_transcoder("x264:medium"), RateSpec.for_crf(23))
+        assert key == (
+            "9405c6be1fcf9149d766c940b58de3ecbb8dd3b99d4d93588241603b59e9cf03"
+        )
+
+
+class TestImmutableResults:
+    def test_assigning_a_field_raises(self, natural_video):
+        result = X264Transcoder("ultrafast").transcode(
+            natural_video, RateSpec.for_crf(28)
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.seconds = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.quality_db = 99.0
+
+    def test_quality_is_measured_where_the_output_is_made(
+        self, tmp_path, natural_video
+    ):
+        backend = X264Transcoder("ultrafast")
+        rate = RateSpec.for_crf(28)
+        encoded = backend.transcode(natural_video, rate)
+        assert encoded.quality_db == psnr(natural_video, encoded.output)
+        cache = TranscodeCache(tmp_path)
+        key = cache.key_for(natural_video, backend, rate)
+        cache.store(key, encoded)
+        replayed = cache.load(key, natural_video)
+        assert replayed.quality_db == encoded.quality_db
+
+    def test_memo_hit_returns_the_stored_result(self, natural_video):
+        counting = CountingTranscoder(X264Transcoder("ultrafast"))
+        memo = MemoizingTranscoder(counting)
+        rate = RateSpec.for_crf(28)
+        first = memo.transcode(natural_video, rate)
+        assert memo.transcode(natural_video, rate) is first
+        assert (memo.hits, memo.misses, counting.encodes) == (1, 1, 1)
+        # Relabelled clips and other rates are separate entries.
+        memo.transcode(natural_video.with_name("other"), rate)
+        memo.transcode(natural_video, RateSpec.for_crf(30))
+        assert (memo.hits, memo.misses, counting.encodes) == (1, 3, 3)
 
 
 class TestTranscodeCache:

@@ -4,7 +4,9 @@ import pytest
 
 from repro.encoders.base import RateSpec
 from repro.encoders.registry import get_transcoder
+from repro.exec.cache import MemoizingTranscoder
 from repro.metrics.psnr import psnr
+from repro.pipeline.farm import FarmConfig, TranscodeFarm
 from repro.robust.breaker import BreakerOpen, BreakerState, CircuitBreaker
 from repro.robust.clock import EventQueue, SimClock
 from repro.robust.degrade import degradation_ladder
@@ -200,6 +202,41 @@ class TestFaultyTranscoder:
             )
 
         assert run() == run()
+
+    @pytest.mark.parametrize("time_scale", [1.0, 300.0])
+    def test_straggler_over_memo_never_compounds(self, clip, time_scale):
+        """Every hit of one request costs the same scaled, stretched time:
+        the scaler and the straggler branch copy the memo's result instead
+        of multiplying its ``seconds`` in place."""
+        farm = TranscodeFarm(
+            config=FarmConfig(time_scale=time_scale),
+            fault_plan=FaultPlan(seed=1, straggler_rate=1.0),
+            memoize=True,
+        )
+        backend = farm.pool["x264:medium"]
+        memo = backend
+        while not isinstance(memo, MemoizingTranscoder):
+            memo = memo.inner
+        rate = RateSpec.for_crf(23)
+        seconds = [backend.transcode(clip, rate).seconds for _ in range(4)]
+        assert (memo.hits, memo.misses) == (3, 1)
+        clean = memo.transcode(clip, rate).seconds
+        assert seconds == [clean * time_scale * 20.0] * 4
+
+    @pytest.mark.parametrize(
+        "rates", [{"corrupt_rate": 1.0}, {"corrupt_stream_rate": 1.0}]
+    )
+    def test_corruption_remeasures_quality_and_spares_memo(self, clip, rates):
+        memo = MemoizingTranscoder(get_transcoder("x264:ultrafast"))
+        faulty = FaultyTranscoder(memo, FaultPlan(seed=1, **rates))
+        rate = RateSpec.for_crf(23)
+        corrupted = faulty.transcode(clip, rate)
+        assert corrupted.quality_db == psnr(clip, corrupted.output)
+        stored = memo.transcode(clip, rate)
+        assert stored.output is not corrupted.output
+        assert stored.quality_db == psnr(clip, stored.output)
+        clean = get_transcoder("x264:ultrafast").transcode(clip, rate)
+        assert stored.quality_db == clean.quality_db
 
     def test_fault_sequence_is_deterministic(self, clip):
         plan = FaultPlan(seed=9, crash_rate=0.5)

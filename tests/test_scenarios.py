@@ -18,7 +18,7 @@ def _result(
     video = Video(
         [Frame.blank(64, 48)] * 10, fps=10.0, name="v"
     ).with_nominal_resolution(*nominal)
-    result = TranscodeResult(
+    return TranscodeResult(
         source=video,
         output=video,
         compressed_bytes=compressed_bytes,
@@ -26,18 +26,8 @@ def _result(
         wall_seconds=0.0,
         counters=Counters(),
         backend="test",
+        quality_db=quality_db,
     )
-    # Quality of identical videos is the cap; monkeypatch a chosen value.
-    result.__dict__["_q"] = quality_db
-    type(result).quality_db = property(lambda self: self.__dict__.get("_q", 100.0))
-    return result
-
-
-@pytest.fixture(autouse=True)
-def _restore_quality_property():
-    original = TranscodeResult.quality_db
-    yield
-    TranscodeResult.quality_db = original
 
 
 class TestRatios:

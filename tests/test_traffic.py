@@ -1,8 +1,14 @@
 """Traffic layer: arrivals, admission, autoscaling, SLO accounting, the loop."""
 
+import gc
+import sys
+import weakref
+
 import pytest
 
 from repro.core.scenarios import Scenario
+from repro.exec.cache import MemoizingTranscoder
+from repro.metrics.psnr import psnr
 from repro.traffic import (
     AdmissionConfig,
     AdmissionController,
@@ -542,3 +548,65 @@ class TestBackpressure:
         assert upload.backpressure_retries > 0
         assert upload.completed > 0
         assert upload.completed + upload.shed == upload.arrived
+
+
+def _memo_layers(farm):
+    """The memo inside each pooled backend's wrapper stack."""
+    memos = []
+    for backend in farm.pool.values():
+        while not isinstance(backend, MemoizingTranscoder):
+            backend = backend.inner
+        memos.append(backend)
+    return memos
+
+
+class TestHotPath:
+    """Counts, not timings: a memo hit must cost no quality measurement,
+    and a finished simulation must not leave its farm behind."""
+
+    @pytest.fixture
+    def psnr_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return psnr(*args, **kwargs)
+
+        # ``from ... import psnr`` copies the name into each caller.
+        for name, module in list(sys.modules.items()):
+            if name == "repro" or name.startswith("repro."):
+                for attr, value in list(vars(module).items()):
+                    if value is psnr:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_quality_measured_once_per_encode(self, psnr_calls, chaos):
+        config = TrafficConfig(arrivals=ArrivalConfig(duration_s=300.0))
+        if chaos:
+            config = TrafficConfig(
+                arrivals=config.arrivals,
+                fleet=resolve_profile("full", 7),
+                recovery=RECOVERY_POLICY,
+                use_predictor=True,
+                chaos_profile="full",
+            )
+        sim = TrafficSimulator(config, seed=7)
+        sim.run()
+        memos = _memo_layers(sim.farm)
+        assert sum(memo.hits for memo in memos) > 0
+        assert len(psnr_calls) == sum(memo.misses for memo in memos) > 0
+
+    def test_dropped_farm_is_freed_by_refcount(self):
+        gc.collect()
+        gc.disable()
+        try:
+            sim = TrafficSimulator(
+                TrafficConfig(arrivals=ArrivalConfig(duration_s=60.0)), seed=3
+            )
+            sim.run()
+            farm = weakref.ref(sim.farm)
+            del sim
+            assert farm() is None
+        finally:
+            gc.enable()
